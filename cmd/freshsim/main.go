@@ -15,8 +15,6 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -24,7 +22,7 @@ import (
 	"freshcache/internal/core"
 	"freshcache/internal/expt"
 	"freshcache/internal/obs"
-	"freshcache/internal/obs/store"
+	"freshcache/internal/runflags"
 )
 
 func main() {
@@ -61,74 +59,25 @@ func run(args []string) error {
 		asJSON    = fs.Bool("json", false, "emit the result as JSON")
 		compare   = fs.String("compare", "", "comma-separated schemes to run side by side (overrides -scheme)")
 		runs      = fs.Int("runs", 1, "replicate over this many consecutive seeds and report mean ± CI95")
-
-		checkpoint = fs.String("checkpoint", "", "with -runs: journal each completed replicate to this file (JSONL), enabling -resume")
-		resume     = fs.Bool("resume", false, "replay completed replicates from the -checkpoint journal instead of re-running them")
-
-		cpuProfile = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-		memProfile = fs.String("memprofile", "", "write a pprof heap profile at exit to this file")
-
-		obsDir       = fs.String("obs", "", "directory for observability output: events.jsonl, trace.json (Perfetto), metrics.om (OpenMetrics) and manifest.json")
-		storePath    = fs.String("store", "", "append this run's record (provenance, metric snapshot, dispositions) to the cross-run results store at this path (JSONL; query with obsreport trend/query/gate)")
-		obsSample    = fs.Int("obs-sample", 1, "keep 1 in N trace events (1 = all)")
-		obsBuffer    = fs.Int("obs-buffer", obs.DefaultBufferCap, "per-run trace ring-buffer capacity in events")
-		lineage      = fs.Bool("lineage", false, "collect causal refresh-lineage spans (generation → duty → handoff → delivery trees) and write lineage.jsonl to the -obs directory (requires -obs)")
-		timelineTick = fs.Duration("timeline-tick", 0, "simulated-time telemetry sampling period: snapshot freshness ratio, cumulative counts and per-node/item copy age every tick into timeline.csv in the -obs directory (0 = off, negative = auto tick of measurement-phase/240; requires -obs)")
 	)
+	shared := runflags.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	start := time.Now()
-	if *obsSample < 1 {
-		return fmt.Errorf("obs-sample must be >= 1, got %d", *obsSample)
-	}
-	if *resume && *checkpoint == "" {
-		return fmt.Errorf("-resume requires -checkpoint")
-	}
-	if *checkpoint != "" && (*runs <= 1 || *compare != "") {
+	if shared.Checkpoint != "" && (*runs <= 1 || *compare != "") {
 		return fmt.Errorf("-checkpoint applies to replicated runs only (-runs > 1, without -compare)")
 	}
-	if (*lineage || *timelineTick != 0) && *obsDir == "" {
-		return fmt.Errorf("-lineage and -timeline-tick require -obs (the output directory)")
+	wired, err := shared.Start("freshsim", args, *seed, false)
+	if err != nil {
+		return err
 	}
-	// The observer exists when anything consumes its registry: trace output
-	// (-obs) or the results store (-store). Nil otherwise.
-	var observer *obs.Observer
-	if *obsDir != "" || *storePath != "" {
-		if *obsDir != "" {
-			if err := os.MkdirAll(*obsDir, 0o755); err != nil {
-				return err
-			}
-		}
-		observer = obs.NewObserver(obs.Config{SampleEvery: *obsSample, BufferCap: *obsBuffer,
-			Lineage: *lineage, TimelineTick: timelineTick.Seconds()})
+	defer wired.Close()
+	observer := wired.Observer
+	stopProfile, err := shared.StartProfile()
+	if err != nil {
+		return err
 	}
-
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			return fmt.Errorf("cpuprofile: %w", err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return fmt.Errorf("cpuprofile: %w", err)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memProfile != "" {
-		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "freshsim: memprofile:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "freshsim: memprofile:", err)
-			}
-		}()
-	}
+	defer stopProfile()
 
 	specs := make([]freshcache.ItemSpec, *items)
 	for i := range specs {
@@ -171,183 +120,88 @@ func run(args []string) error {
 	}
 	opts = append(opts, baseOpts...)
 
-	ledger := &expt.Ledger{}
-	err := func() error {
-		if *compare != "" {
-			return runComparison(*compare, baseOpts, observer)
+	switch {
+	case *compare != "":
+		err = runComparison(*compare, baseOpts, observer)
+	case *runs > 1:
+		traceName := *preset
+		if *traceFile != "" {
+			traceName = "file:" + *traceFile
 		}
-		if *runs > 1 {
-			var journal *expt.Journal
-			if *checkpoint != "" {
-				j, jerr := expt.OpenJournal(*checkpoint, *resume)
-				if jerr != nil {
-					return jerr
-				}
-				defer j.Close()
-				journal = j
-				if *resume {
-					fmt.Fprintf(os.Stderr, "freshsim: resuming from %s (%d journaled replicate(s))\n",
-						*checkpoint, journal.Len())
-				}
-			}
-			traceName := *preset
-			if *traceFile != "" {
-				traceName = "file:" + *traceFile
-			}
-			return runReplicated(replicatedConfig{
-				runs:       *runs,
-				baseSeed:   *seed,
-				scheme:     *scheme,
-				traceName:  traceName,
-				experiment: replicatedExperimentID(fs),
-				journal:    journal,
-				ledger:     ledger,
-			}, baseOpts, observer)
-		}
-
-		obsOpts, commit := obsRun(observer, "freshsim/"+*scheme, *scheme)
-		opts = append(opts, obsOpts...)
-		sim, err := freshcache.New(opts...)
-		if err != nil {
-			return err
-		}
-		res, err := sim.Run()
-		if err != nil {
-			return err
-		}
-		commit()
-		observer.RecordRun(res.Scheme, res)
-
-		if *asJSON {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			return enc.Encode(res)
-		}
-		fmt.Println(res.String())
-		fmt.Printf("caching nodes:       %v\n", sim.CachingNodes())
-		fmt.Printf("freshness ratio:     %.4f\n", res.FreshnessRatio)
-		fmt.Printf("valid access ratio:  %.4f (fresh %.4f, answered %.4f of %d queries)\n",
-			res.ValidAnswers, res.FreshAnswers, res.AnsweredOK, res.Queries)
-		fmt.Printf("refresh delay:       mean %s, p90 %s, on-time %.4f\n",
-			time.Duration(res.MeanRefreshDelay*float64(time.Second)).Round(time.Second),
-			time.Duration(res.P90RefreshDelay*float64(time.Second)).Round(time.Second),
-			res.OnTimeRatio)
-		fmt.Printf("overhead:            %.2f tx/version (%d total; source share %.3f)\n",
-			res.TxPerVersion, res.Transmissions, res.SourceTxShare)
-		fmt.Printf("first-delivery on-time ratio: %.4f (requirement %.2f)\n",
-			sim.FirstDeliveryOnTimeRatio(), *preq)
-		return nil
-	}()
+		err = runReplicated(replicatedConfig{
+			runs:       *runs,
+			baseSeed:   *seed,
+			scheme:     *scheme,
+			traceName:  traceName,
+			experiment: replicatedExperimentID(fs),
+			journal:    wired.Journal,
+			ledger:     wired.Ledger,
+		}, baseOpts, observer)
+	default:
+		err = runSingle(*scheme, opts, observer, *asJSON, *preq)
+	}
 	if err != nil {
 		return err
 	}
-	if observer != nil && *obsDir != "" {
-		if err := writeObs(*obsDir, observer, start, args, *seed, ledger, *checkpoint, *resume); err != nil {
-			return err
-		}
-	}
-	// The store record appends last, after all stdout, so report output is
-	// unaffected by -store.
-	if *storePath != "" {
-		rec := store.NewRecord("freshsim")
-		rec.Command = append([]string{"freshsim"}, args...)
-		rec.Seed = *seed
-		// The flag digest already covers exactly the simulation-relevant
-		// configuration (output and checkpointing flags excluded).
-		rec.ConfigDigest = strings.TrimPrefix(replicatedExperimentID(fs), "freshsim-")
-		rec.WallClockSeconds = time.Since(start).Seconds()
-		snap := observer.Metrics.Snapshot()
-		rec.Metrics = store.FlattenMetrics(snap, observer.SchemeRollups())
-		rec.Histograms = snap.Histograms
-		rs := ledger.Summary()
-		rs.Journal = *checkpoint
-		rs.Resumed = *resume
-		rec.Resume = &rs
-		if err := store.Append(*storePath, rec); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// obsRun opens the per-run observability collectors for one labelled
-// simulation: the event trace plus, when enabled on the observer, the
-// lineage span tree and the telemetry timeline. It returns the options to
-// attach and a commit func to call after a successful run. Everything is
-// nil-safe, so callers need no -obs conditionals.
-func obsRun(observer *obs.Observer, label, scheme string) ([]freshcache.Option, func()) {
-	rt := observer.Run(label)
-	lin := observer.RunLineage(label, scheme)
-	tl := observer.RunTimeline(label)
-	opts := []freshcache.Option{freshcache.WithObservability(rt, observer.Registry())}
-	if lin != nil {
-		opts = append(opts, freshcache.WithLineage(lin))
-	}
-	if tl != nil {
-		tick := time.Duration(observer.TimelineTick() * float64(time.Second))
-		opts = append(opts, freshcache.WithTimeline(tl, tick))
-	}
-	return opts, func() {
-		observer.Commit(rt)
-		observer.CommitLineage(lin)
-		observer.CommitTimeline(tl)
-	}
-}
-
-// obsFile is one observability artifact: its filename and writer.
-type obsFile struct {
-	name  string
-	write func(*os.File) error
-}
-
-// writeObs flushes the observer's trace and a run manifest into dir.
-func writeObs(dir string, observer *obs.Observer, start time.Time, args []string, seed int64,
-	ledger *expt.Ledger, checkpoint string, resumed bool) error {
-	var outputs []string
-	files := []obsFile{
-		{"events.jsonl", func(f *os.File) error { return observer.WriteJSONL(f) }},
-		{"trace.json", func(f *os.File) error { return observer.WriteChromeTrace(f) }},
-		{"metrics.om", func(f *os.File) error { return obs.WriteOpenMetrics(f, observer.Metrics.Snapshot()) }},
-	}
-	if observer.LineageEnabled() {
-		files = append(files, obsFile{"lineage.jsonl", func(f *os.File) error { return observer.WriteLineageJSONL(f) }})
-	}
-	if observer.TimelineTick() != 0 {
-		files = append(files, obsFile{"timeline.csv", func(f *os.File) error { return observer.WriteTimelineCSV(f) }})
-	}
-	for _, f := range files {
-		path := filepath.Join(dir, f.name)
-		out, err := os.Create(path)
+	if shared.ObsDir != "" {
+		outputs, err := wired.WriteObs()
 		if err != nil {
 			return err
 		}
-		if err := f.write(out); err != nil {
-			out.Close()
-			return fmt.Errorf("obs: %s: %w", f.name, err)
-		}
-		if err := out.Close(); err != nil {
+		if err := wired.Manifest(outputs).Write(filepath.Join(shared.ObsDir, "manifest.json")); err != nil {
 			return err
 		}
-		outputs = append(outputs, path)
 	}
-	m := obs.NewManifest("freshsim")
-	m.Command = append([]string{"freshsim"}, args...)
-	m.Seed = seed
-	m.Outputs = outputs
-	snap := observer.Metrics.Snapshot()
-	m.Metrics = &snap
-	st := observer.Stats()
-	m.Events = &st
-	m.SchemeStats = observer.SchemeRollups()
-	m.Failures = ledger.Failures()
-	if checkpoint != "" || len(m.Failures) > 0 {
-		rs := ledger.Summary()
-		rs.Journal = checkpoint
-		rs.Resumed = resumed
-		m.Resume = &rs
+	// The flag digest already covers exactly the simulation-relevant
+	// configuration (output and checkpointing flags excluded).
+	return wired.AppendRecord(strings.TrimPrefix(replicatedExperimentID(fs), "freshsim-"), nil)
+}
+
+// runSingle runs the scheme once and prints its result, as text or JSON.
+func runSingle(scheme string, opts []freshcache.Option, observer *obs.Observer, asJSON bool, preq float64) error {
+	sim, res, err := simulate(observer, "freshsim/"+scheme, scheme, opts)
+	if err != nil {
+		return err
 	}
-	m.FinishResources(start)
-	return m.Write(filepath.Join(dir, "manifest.json"))
+	if asJSON {
+		enc := json.NewEncoder(os.Stdout)
+		enc.SetIndent("", "  ")
+		return enc.Encode(res)
+	}
+	fmt.Println(res.String())
+	fmt.Printf("caching nodes:       %v\n", sim.CachingNodes())
+	fmt.Printf("freshness ratio:     %.4f\n", res.FreshnessRatio)
+	fmt.Printf("valid access ratio:  %.4f (fresh %.4f, answered %.4f of %d queries)\n",
+		res.ValidAnswers, res.FreshAnswers, res.AnsweredOK, res.Queries)
+	fmt.Printf("refresh delay:       mean %s, p90 %s, on-time %.4f\n",
+		time.Duration(res.MeanRefreshDelay*float64(time.Second)).Round(time.Second),
+		time.Duration(res.P90RefreshDelay*float64(time.Second)).Round(time.Second),
+		res.OnTimeRatio)
+	fmt.Printf("overhead:            %.2f tx/version (%d total; source share %.3f)\n",
+		res.TxPerVersion, res.Transmissions, res.SourceTxShare)
+	fmt.Printf("first-delivery on-time ratio: %.4f (requirement %.2f)\n",
+		sim.FirstDeliveryOnTimeRatio(), preq)
+	return nil
+}
+
+// simulate builds and runs one labelled simulation with the observer's
+// per-run collectors attached, committing them when the run succeeds.
+func simulate(observer *obs.Observer, label, scheme string, opts []freshcache.Option) (*freshcache.Simulation, freshcache.Result, error) {
+	run := observer.OpenRun(label, scheme)
+	opts = append(opts,
+		freshcache.WithObservability(run.Trace, run.Metrics),
+		freshcache.WithLineage(run.Lineage),
+		freshcache.WithTimeline(run.Timeline, time.Duration(run.TimelineTick*float64(time.Second))))
+	sim, err := freshcache.New(opts...)
+	if err != nil {
+		return nil, freshcache.Result{}, err
+	}
+	res, err := sim.Run()
+	if err != nil {
+		return nil, freshcache.Result{}, err
+	}
+	run.Commit(res)
+	return sim, res, nil
 }
 
 // replicatedConfig parameterises one replicated (-runs > 1) invocation.
@@ -420,18 +274,10 @@ func runReplicated(cfg replicatedConfig, baseOpts []freshcache.Option, observer 
 		}, baseOpts...)
 		// Applied last so it overrides the base -seed flag.
 		opts = append(opts, freshcache.WithSeed(simSeed))
-		obsOpts, commit := obsRun(observer, fmt.Sprintf("freshsim/%s/seed-%d", cfg.scheme, simSeed), cfg.scheme)
-		opts = append(opts, obsOpts...)
-		sim, err := freshcache.New(opts...)
+		_, res, err := simulate(observer, fmt.Sprintf("freshsim/%s/seed-%d", cfg.scheme, simSeed), cfg.scheme, opts)
 		if err != nil {
 			return nil, err
 		}
-		res, err := sim.Run()
-		if err != nil {
-			return nil, err
-		}
-		commit()
-		observer.RecordRun(res.Scheme, res)
 		return []float64{res.FreshnessRatio, res.ValidAccessRate, res.TxPerVersion}, nil
 	})
 	if err != nil {
@@ -459,18 +305,10 @@ func runComparison(schemes string, baseOpts []freshcache.Option, observer *obs.O
 	for _, name := range strings.Split(schemes, ",") {
 		name = strings.TrimSpace(name)
 		opts := append([]freshcache.Option{freshcache.WithScheme(freshcache.SchemeName(name))}, baseOpts...)
-		obsOpts, commit := obsRun(observer, "freshsim/"+name, name)
-		opts = append(opts, obsOpts...)
-		sim, err := freshcache.New(opts...)
+		_, res, err := simulate(observer, "freshsim/"+name, name, opts)
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
-		res, err := sim.Run()
-		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
-		}
-		commit()
-		observer.RecordRun(res.Scheme, res)
 		fmt.Printf("%-20s  %-9.4f  %-11.4f  %-10.2f  %-12.3f  %-8.3f\n",
 			name, res.FreshnessRatio, res.ValidAccessRate, res.TxPerVersion,
 			res.SourceTxShare, res.LoadGini)

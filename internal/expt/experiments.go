@@ -111,23 +111,18 @@ func cellLabel(c Cell) string {
 // per-scheme roll-ups. Failed runs commit nothing, so exports only carry
 // completed cells.
 func (o Options) runScenario(label string, sc Scenario, scheme core.Scheme, tr *trace.Trace) (metrics.Result, *core.Engine, error) {
-	rt := o.Obs.Run(label)
-	lin := o.Obs.RunLineage(label, scheme.Name())
-	tl := o.Obs.RunTimeline(label)
-	sc.Obs = rt
-	sc.Metrics = o.Obs.Registry()
-	sc.Lineage = lin
-	sc.Timeline = tl
-	sc.TimelineTick = o.Obs.TimelineTick()
+	run := o.Obs.OpenRun(label, scheme.Name())
+	sc.Obs = run.Trace
+	sc.Metrics = run.Metrics
+	sc.Lineage = run.Lineage
+	sc.Timeline = run.Timeline
+	sc.TimelineTick = run.TimelineTick
 	res, eng, err := sc.RunOnTrace(scheme, tr)
 	if err != nil {
 		return res, eng, err
 	}
 	o.record(res)
-	o.Obs.Commit(rt)
-	o.Obs.CommitLineage(lin)
-	o.Obs.CommitTimeline(tl)
-	o.Obs.RecordRun(res.Scheme, res)
+	run.Commit(res)
 	return res, eng, nil
 }
 

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"freshcache/internal/metrics"
 )
 
 // TestLineageNilSafety: every method must no-op (and hand back the "no
@@ -173,24 +175,27 @@ func TestTimelineRoundTrip(t *testing.T) {
 // TestObserverLineageTimelineGating: collectors exist only when configured,
 // and flushes order committed runs by label.
 func TestObserverLineageTimelineGating(t *testing.T) {
-	off := NewObserver(Config{})
-	if off.RunLineage("a", "s") != nil || off.RunTimeline("a") != nil {
-		t.Fatal("collectors handed out while disabled")
+	var none *Observer
+	if none.OpenRun("a", "s") != (RunScope{}) {
+		t.Fatal("nil observer opened collectors")
 	}
-	if off.LineageEnabled() || off.TimelineTick() != 0 {
-		t.Fatal("off observer reports enabled")
+	none.OpenRun("a", "s").Commit(metrics.Result{}) // no-op, must not panic
+
+	off := NewObserver(Config{})
+	if run := off.OpenRun("a", "s"); run.Lineage != nil || run.Timeline != nil || run.TimelineTick != 0 {
+		t.Fatal("collectors handed out while disabled")
 	}
 
 	on := NewObserver(Config{Lineage: true, TimelineTick: -1})
-	if !on.LineageEnabled() || on.TimelineTick() != -1 {
-		t.Fatal("on observer reports disabled")
+	rb := on.OpenRun("b", "s2")
+	ra := on.OpenRun("a", "s1")
+	if rb.Lineage == nil || rb.Timeline == nil || rb.TimelineTick != -1 {
+		t.Fatal("on observer withheld collectors")
 	}
-	lb := on.RunLineage("b", "s2")
-	la := on.RunLineage("a", "s1")
-	lb.Generate(0, 1, 1, 0)
-	la.Generate(0, 2, 1, 0)
-	on.CommitLineage(lb)
-	on.CommitLineage(la)
+	rb.Lineage.Generate(0, 1, 1, 0)
+	ra.Lineage.Generate(0, 2, 1, 0)
+	rb.Commit(metrics.Result{})
+	ra.Commit(metrics.Result{})
 	var buf bytes.Buffer
 	if err := on.WriteLineageJSONL(&buf); err != nil {
 		t.Fatal(err)

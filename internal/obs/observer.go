@@ -15,14 +15,14 @@ type Config struct {
 	SampleEvery int
 	// BufferCap bounds the per-run ring buffer (DefaultBufferCap if 0).
 	BufferCap int
-	// Lineage enables causal span collection for each run; RunLineage
-	// returns nil when it is false.
+	// Lineage enables causal span collection for each run; OpenRun hands
+	// out no lineage collector when it is false.
 	Lineage bool
 	// LineageCap bounds per-run span storage (DefaultLineageCap if 0).
 	LineageCap int
 	// TimelineTick enables simulated-time telemetry sampling on the given
-	// sim-time period in seconds; 0 disables (RunTimeline returns nil) and
-	// a negative value asks the engine to pick a default tick.
+	// sim-time period in seconds; 0 disables (OpenRun hands out no
+	// timeline) and a negative value asks the engine to pick a default tick.
 	TimelineTick float64
 	// TimelineCap bounds per-run point storage (DefaultTimelineCap if 0).
 	TimelineCap int
@@ -117,56 +117,55 @@ func (o *Observer) Commit(t *RunTrace) {
 	o.mu.Unlock()
 }
 
-// RunLineage returns a fresh lineage collector for one labelled run, or
-// nil when lineage is off — scheme instrumentation is nil-safe either way.
-func (o *Observer) RunLineage(label, scheme string) *Lineage {
-	if o == nil || !o.cfg.Lineage {
-		return nil
-	}
-	return NewLineage(label, scheme, o.cfg.LineageCap)
+// RunScope is one labelled run's share of an Observer: its own event
+// trace, its lineage and timeline collectors (nil when disabled), the
+// shared registry and the timeline tick in sim seconds (0 = off, negative
+// = engine default). From a nil Observer every field is zero and Commit
+// does nothing, so callers need no -obs conditionals.
+type RunScope struct {
+	Trace        *RunTrace
+	Metrics      *Registry
+	Lineage      *Lineage
+	Timeline     *Timeline
+	TimelineTick float64
+
+	o *Observer
 }
 
-// CommitLineage hands a finished run's lineage back to the observer.
-func (o *Observer) CommitLineage(l *Lineage) {
-	if o == nil || l == nil {
-		return
-	}
-	o.mu.Lock()
-	o.lineages = append(o.lineages, l)
-	o.mu.Unlock()
-}
-
-// RunTimeline returns a fresh timeline for one labelled run, or nil when
-// timeline sampling is off (TimelineTick == 0).
-func (o *Observer) RunTimeline(label string) *Timeline {
-	if o == nil || o.cfg.TimelineTick == 0 {
-		return nil
-	}
-	return NewTimeline(label, o.cfg.TimelineCap)
-}
-
-// LineageEnabled reports whether lineage collection is on.
-func (o *Observer) LineageEnabled() bool {
-	return o != nil && o.cfg.Lineage
-}
-
-// TimelineTick returns the configured sim-time sampling period (0 = off,
-// negative = engine default).
-func (o *Observer) TimelineTick() float64 {
+// OpenRun opens the per-run collectors for one labelled run of scheme.
+// The caller owns them until Commit.
+func (o *Observer) OpenRun(label, scheme string) RunScope {
 	if o == nil {
-		return 0
+		return RunScope{}
 	}
-	return o.cfg.TimelineTick
+	s := RunScope{Trace: o.Run(label), Metrics: o.Metrics, TimelineTick: o.cfg.TimelineTick, o: o}
+	if o.cfg.Lineage {
+		s.Lineage = NewLineage(label, scheme, o.cfg.LineageCap)
+	}
+	if o.cfg.TimelineTick != 0 {
+		s.Timeline = NewTimeline(label, o.cfg.TimelineCap)
+	}
+	return s
 }
 
-// CommitTimeline hands a finished run's timeline back to the observer.
-func (o *Observer) CommitTimeline(tl *Timeline) {
-	if o == nil || tl == nil {
+// Commit hands a successful run's collectors back to the observer and
+// folds its result into the per-scheme roll-ups. Failed runs skip Commit,
+// so exports carry completed runs only.
+func (s RunScope) Commit(res metrics.Result) {
+	o := s.o
+	if o == nil {
 		return
 	}
+	o.Commit(s.Trace)
 	o.mu.Lock()
-	o.timelines = append(o.timelines, tl)
+	if s.Lineage != nil {
+		o.lineages = append(o.lineages, s.Lineage)
+	}
+	if s.Timeline != nil {
+		o.timelines = append(o.timelines, s.Timeline)
+	}
 	o.mu.Unlock()
+	o.RecordRun(res.Scheme, res)
 }
 
 // CellQueued notes that n sweep cells were enqueued.
