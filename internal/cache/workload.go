@@ -1,8 +1,9 @@
 package cache
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"freshcache/internal/stats"
 	"freshcache/internal/trace"
@@ -83,11 +84,8 @@ func GenerateQueries(cfg WorkloadConfig, catalog *Catalog, n int, from, to float
 			t += stats.Exp(rng, cfg.QueryRate)
 		}
 	}
-	sort.SliceStable(queries, func(i, j int) bool {
-		if queries[i].IssuedAt != queries[j].IssuedAt {
-			return queries[i].IssuedAt < queries[j].IssuedAt
-		}
-		return queries[i].Requester < queries[j].Requester
+	slices.SortStableFunc(queries, func(a, b *Query) int {
+		return cmp.Or(cmp.Compare(a.IssuedAt, b.IssuedAt), cmp.Compare(a.Requester, b.Requester))
 	})
 	for i, q := range queries {
 		q.ID = i

@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"freshcache/internal/cache"
@@ -722,7 +723,7 @@ func (e *Engine) startMeasurement(est *centrality.Estimator, now float64) error 
 	for i := range plan {
 		events = append(events, eventsim.StaticEvent{Time: plan[i].time, Arg: int32(i)})
 	}
-	sort.SliceStable(events, func(i, j int) bool { return events[i].Time < events[j].Time })
+	slices.SortStableFunc(events, func(a, b eventsim.StaticEvent) int { return cmp.Compare(a.Time, b.Time) })
 	e.scratch.plan, e.scratch.planEvents = plan, events
 	if err := e.sim.AttachTimeline(events, e.runPlanAction); err != nil {
 		return err

@@ -9,11 +9,12 @@
 package mobility
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"freshcache/internal/stats"
 	"freshcache/internal/trace"
@@ -81,7 +82,7 @@ func samplePairIndices(rng *rand.Rand, total int64, p float64) []int64 {
 		chosen[c] = struct{}{}
 		idx = append(idx, c)
 	}
-	sort.Slice(idx, func(i, j int) bool { return idx[i] < idx[j] })
+	slices.Sort(idx)
 	return idx
 }
 
@@ -256,23 +257,9 @@ func (g *Community) Generate(seed int64) (*trace.Trace, error) {
 	if err := g.validate(); err != nil {
 		return nil, err
 	}
-	rng := stats.Derive(seed, "mobility/community/"+g.TraceName)
-	comm := make([]int, g.N)
-	for i := range comm {
-		comm[i] = i % g.Communities
-	}
-	// Shuffle community assignment so node IDs carry no structure.
-	rng.Shuffle(g.N, func(i, j int) { comm[i], comm[j] = comm[j], comm[i] })
-
-	boost := make([]float64, g.N)
-	for i := range boost {
-		boost[i] = 1
-		if rng.Float64() < g.HubFraction {
-			boost[i] = g.HubBoost
-		}
-	}
-
+	rng, comm, boost := g.layout(seed)
 	t := &trace.Trace{Name: g.TraceName, N: g.N, Duration: g.Duration}
+	t.Contacts = make([]trace.Contact, 0, g.reserve(comm, boost))
 	if g.N >= sparsePairThreshold && g.InterPairFraction <= 0.5 {
 		g.generateSparse(rng, comm, boost, t)
 	} else {
@@ -303,6 +290,74 @@ func (g *Community) Generate(seed int64) (*trace.Trace, error) {
 		return nil, fmt.Errorf("mobility: generated invalid trace: %w", err)
 	}
 	return t, nil
+}
+
+// layout draws the node-level structure that precedes the pair loop: the
+// seeded RNG, each node's community and each node's hub boost.
+func (g *Community) layout(seed int64) (rng *rand.Rand, comm []int, boost []float64) {
+	rng = stats.Derive(seed, "mobility/community/"+g.TraceName)
+	comm = make([]int, g.N)
+	for i := range comm {
+		comm[i] = i % g.Communities
+	}
+	// Shuffle community assignment so node IDs carry no structure.
+	rng.Shuffle(g.N, func(i, j int) { comm[i], comm[j] = comm[j], comm[i] })
+
+	boost = make([]float64, g.N)
+	for i := range boost {
+		boost[i] = 1
+		if rng.Float64() < g.HubFraction {
+			boost[i] = g.HubBoost
+		}
+	}
+	return rng, comm, boost
+}
+
+// reserveHeadroom is the fraction Community.reserve adds to the expected
+// contact count. TestCommunityReserve measures the generated length
+// against the reservation and pins both no regrowth and a bounded
+// overshoot.
+const reserveHeadroom = 0.10
+
+// reserve returns the contact capacity Generate allocates before the pair
+// loop, so the loop never regrows the trace: the expected contact count
+// plus reserveHeadroom. A pair with rate λ emits about λ·Duration + ½
+// contacts (the random first-contact phase adds the half; the
+// non-overlap rule and clipping only lower the count). λ's gamma draw has
+// mean rate × √(boost_a·boost_b), and cross-community pairs are weighted
+// by InterPairFraction. With s = √boost, a community's pairs sum to
+// ((Σs)² − Σs²)/2, so the whole sum is O(N). No randomness is consumed.
+func (g *Community) reserve(comm []int, boost []float64) int {
+	size := make([]float64, g.Communities)
+	sum := make([]float64, g.Communities)
+	sq := make([]float64, g.Communities)
+	var all, allSq float64
+	for i, c := range comm {
+		s := math.Sqrt(boost[i])
+		size[c]++
+		sum[c] += s
+		sq[c] += boost[i]
+		all += s
+		allSq += boost[i]
+	}
+	var intraPairs, intra float64
+	for c := range sum {
+		intraPairs += size[c] * (size[c] - 1) / 2
+		intra += (sum[c]*sum[c] - sq[c]) / 2
+	}
+	n := float64(g.N)
+	interPairs := n*(n-1)/2 - intraPairs
+	inter := (all*all-allSq)/2 - intra
+	want := g.Duration*g.IntraRate*intra + intraPairs/2
+	if g.InterRate > 0 {
+		want += g.InterPairFraction * (g.Duration*g.InterRate*inter + interPairs/2)
+	}
+	want *= 1 + reserveHeadroom
+	const maxReserve = 1 << 24 // beyond this, let append grow the trace
+	if !(want > 0) {
+		return 0
+	}
+	return int(min(want, maxReserve))
 }
 
 // generateSparse is the O(active pairs) community path: every
@@ -364,7 +419,7 @@ func (g *Community) generateSparse(rng *rand.Rand, comm []int, boost []float64, 
 				chosen[c] = struct{}{}
 				idx = append(idx, c)
 			}
-			sort.Slice(idx, func(i, j int) bool { return idx[i] < idx[j] })
+			slices.Sort(idx)
 			for _, c := range idx {
 				a, b := pairFromIndex(c, g.N)
 				pairs = append(pairs, activePair{a: a, b: b, mean: g.InterRate})
@@ -372,11 +427,8 @@ func (g *Community) generateSparse(rng *rand.Rand, comm []int, boost []float64, 
 		}
 	}
 
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].a != pairs[j].a {
-			return pairs[i].a < pairs[j].a
-		}
-		return pairs[i].b < pairs[j].b
+	slices.SortFunc(pairs, func(x, y activePair) int {
+		return cmp.Or(cmp.Compare(x.a, y.a), cmp.Compare(x.b, y.b))
 	})
 	for _, p := range pairs {
 		rate := stats.Gamma(rng, g.RateShape, p.mean/g.RateShape)
@@ -524,7 +576,7 @@ func (g *RandomWaypoint) Generate(seed int64) (*trace.Trace, error) {
 				toClose = append(toClose, key)
 			}
 		}
-		sort.Ints(toClose)
+		slices.Sort(toClose)
 		for _, key := range toClose {
 			start := inContact[key]
 			if now > start {

@@ -280,3 +280,38 @@ func TestPresetLookup(t *testing.T) {
 		t.Fatal("unknown preset accepted")
 	}
 }
+
+// TestCommunityReserve checks Community.reserve against what Generate
+// emits, on the two presets' community models and E21's 2,000-node one
+// over ten seeds: the generated length never exceeds the reservation (the
+// pair loop never regrows the trace) and the reservation overshoots by at
+// most 25%. Over 100 seeds, length/expected ranged 0.88–1.09 on the
+// presets and 0.98–1.01 at 2,000 nodes; reserveHeadroom was chosen to fit
+// both bounds.
+func TestCommunityReserve(t *testing.T) {
+	gens := map[string]*Community{
+		"reality-like": RealityLike().(*Diurnal).Gen.(*Community),
+		"infocom-like": InfocomLike().(*Diurnal).Gen.(*Community),
+		"large-2000":   ScaledCommunity(2000),
+	}
+	for name, g := range gens {
+		g := g
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			for seed := int64(1); seed <= 10; seed++ {
+				tr, err := g.Generate(seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, comm, boost := g.layout(seed)
+				reserved, n := g.reserve(comm, boost), len(tr.Contacts)
+				if n > reserved {
+					t.Errorf("seed %d: %d contacts exceed the %d reserved", seed, n, reserved)
+				}
+				if float64(reserved) > 1.25*float64(n) {
+					t.Errorf("seed %d: reserved %d for %d contacts (%.3f×)", seed, reserved, n, float64(reserved)/float64(n))
+				}
+			}
+		})
+	}
+}

@@ -98,6 +98,31 @@ func InfocomLike() Generator {
 	}
 }
 
+// ScaledCommunity returns the large-N community model (experiment E21): a
+// community-structured network whose per-node contact load stays constant
+// as n grows (fixed community size, O(1) expected inter-community
+// partners per node), so contacts — and the sparse structures — scale as
+// O(n), not O(n²).
+func ScaledCommunity(n int) *Community {
+	return &Community{
+		TraceName:   fmt.Sprintf("large-%d", n),
+		N:           n,
+		Duration:    4 * Day,
+		Communities: n / 20,
+		IntraRate:   4.0 / Day,
+		InterRate:   1.0 / Day,
+		RateShape:   0.8,
+		// ~32 inter-community partners per node regardless of n: enough
+		// cross-community edges that the caching overlay stays
+		// contact-connected (two-hop relay paths exist), while contacts
+		// still grow as O(n).
+		InterPairFraction: 32.0 / float64(n),
+		HubFraction:       0.05,
+		HubBoost:          3,
+		MeanContactDur:    120,
+	}
+}
+
 // Presets maps the preset names accepted by the CLI tools to their
 // constructors.
 func Presets() map[string]func() Generator {

@@ -21,6 +21,10 @@ func FuzzRead(f *testing.F) {
 	f.Add("# nodes: -5\n0 1 1 2\n")
 	f.Add("0 1 1e308 1e309\n")
 	f.Add("\x00\x01\x02")
+	f.Add("0 1 NaN 5\n0 2 1 2\n")
+	f.Add("0 1 1 +Inf\n")
+	f.Add("# duration: NaN\n0 1 1 2\n")
+	f.Add("0 1 2 3\n0 2 NaN 1\n0 3 1 2\n")
 	f.Fuzz(func(t *testing.T, in string) {
 		tr, err := Read(strings.NewReader(in))
 		if err != nil {

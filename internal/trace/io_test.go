@@ -61,22 +61,29 @@ func TestReadSkipsCommentsAndBlanks(t *testing.T) {
 }
 
 func TestReadRejectsGarbage(t *testing.T) {
-	cases := []string{
-		"0 1 1\n",          // too few fields
-		"x 1 1 2\n",        // non-numeric node
-		"0 y 1 2\n",        // non-numeric node
-		"0 1 z 2\n",        // non-numeric time
-		"0 1 1 z\n",        // non-numeric time
-		"# nodes: bogus\n", // bad header value
-		"0 0 1 2\n",        // self contact -> validate fails
+	cases := []struct {
+		in   string
+		want error // nil: any error
+	}{
+		{"0 1 1\n", ErrFormat},    // too few fields
+		{"x 1 1 2\n", nil},        // non-numeric node
+		{"0 y 1 2\n", nil},        // non-numeric node
+		{"0 1 z 2\n", nil},        // non-numeric time
+		{"0 1 1 z\n", nil},        // non-numeric time
+		{"# nodes: bogus\n", nil}, // bad header value
+		{"0 0 1 2\n", nil},        // self contact -> validate fails
+		// Non-finite times. Comparisons with NaN are false, so the
+		// ordering check alone would let the last input through.
+		{"0 1 NaN 5\n0 2 1 2\n", ErrNonFinite},
+		{"0 1 1 +Inf\n", ErrNonFinite},
+		{"# duration: NaN\n0 1 1 2\n", ErrNonFinite},
+		{"0 1 2 3\n0 2 NaN 1\n0 3 1 2\n", ErrNonFinite},
 	}
-	for _, in := range cases {
-		if _, err := Read(strings.NewReader(in)); err == nil {
-			t.Errorf("accepted %q", in)
+	for _, tc := range cases {
+		_, err := Read(strings.NewReader(tc.in))
+		if err == nil || (tc.want != nil && !errors.Is(err, tc.want)) {
+			t.Errorf("Read(%q) = %v, want error %v", tc.in, err, tc.want)
 		}
-	}
-	if _, err := Read(strings.NewReader("0 1 1\n")); !errors.Is(err, ErrFormat) {
-		t.Error("short line not wrapped as ErrFormat")
 	}
 }
 

@@ -10,7 +10,7 @@ package trace
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"math"
 )
 
 // NodeID identifies a node within a trace. IDs are dense in [0, N).
@@ -42,7 +42,11 @@ var (
 	ErrBadContact     = errors.New("trace: invalid contact")
 	ErrUnsorted       = errors.New("trace: contacts not sorted by start time")
 	ErrBeyondDuration = errors.New("trace: contact beyond trace duration")
+	ErrNonFinite      = errors.New("trace: non-finite time")
 )
+
+// finite reports whether v is neither NaN nor ±Inf.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // Validate checks the structural invariants documented on Trace. It does
 // not modify the trace; call Normalize first on freshly built traces.
@@ -50,12 +54,17 @@ func (t *Trace) Validate() error {
 	if t.N <= 0 {
 		return ErrNoNodes
 	}
+	if !finite(t.Duration) {
+		return fmt.Errorf("%w: duration %v", ErrNonFinite, t.Duration)
+	}
 	if t.Duration <= 0 {
 		return fmt.Errorf("trace: non-positive duration %v", t.Duration)
 	}
 	prev := -1.0
 	for i, c := range t.Contacts {
 		switch {
+		case !finite(c.Start) || !finite(c.End):
+			return fmt.Errorf("%w: contact #%d interval [%v,%v)", ErrNonFinite, i, c.Start, c.End)
 		case c.A == c.B:
 			return fmt.Errorf("%w #%d: self-contact %d", ErrBadContact, i, c.A)
 		case c.A < 0 || int(c.A) >= t.N || c.B < 0 || int(c.B) >= t.N:
@@ -74,27 +83,89 @@ func (t *Trace) Validate() error {
 	return nil
 }
 
+// contactLess orders contacts by the full key (Start, A, B, End). On
+// NaN-free contacts it is a strict total order: two contacts that compare
+// equal are the same bytes, so every correct sort yields the same trace.
+func contactLess(a, b Contact) bool {
+	if a.Start != b.Start {
+		return a.Start < b.Start
+	}
+	if a.A != b.A {
+		return a.A < b.A
+	}
+	if a.B != b.B {
+		return a.B < b.B
+	}
+	return a.End < b.End
+}
+
 // Normalize orders each contact's endpoints (A < B) and sorts contacts by
 // (Start, A, B, End). Generators call this before returning a trace.
+//
+// The sort is a natural merge sort: one scan splits the contacts into
+// ascending runs, and adjacent runs are merged bottom-up through one
+// C-sized buffer. Sorted input (file replays, round-trips) is a single
+// run and costs one scan and no allocation; a generator's output is one
+// time-ordered run per pair, so P active pairs cost O(C log P).
 func (t *Trace) Normalize() {
-	for i := range t.Contacts {
-		if t.Contacts[i].A > t.Contacts[i].B {
-			t.Contacts[i].A, t.Contacts[i].B = t.Contacts[i].B, t.Contacts[i].A
+	cs := t.Contacts
+	for i := range cs {
+		if cs[i].A > cs[i].B {
+			cs[i].A, cs[i].B = cs[i].B, cs[i].A
 		}
 	}
-	sort.Slice(t.Contacts, func(i, j int) bool {
-		a, b := t.Contacts[i], t.Contacts[j]
-		if a.Start != b.Start {
-			return a.Start < b.Start
+	var bounds []int // run boundaries: 0, start of each later run, len(cs)
+	for i := 1; i < len(cs); i++ {
+		if contactLess(cs[i], cs[i-1]) {
+			if bounds == nil {
+				bounds = append(bounds, 0)
+			}
+			bounds = append(bounds, i)
 		}
-		if a.A != b.A {
-			return a.A < b.A
+	}
+	if bounds == nil {
+		return
+	}
+	bounds = append(bounds, len(cs))
+	src, dst := cs, make([]Contact, len(cs))
+	for len(bounds) > 2 {
+		// Merge runs pairwise; an odd last run is copied across. The
+		// compacted bounds are written behind the ones still being read.
+		merged := bounds[:1]
+		for i := 0; i+1 < len(bounds); i += 2 {
+			lo, mid := bounds[i], bounds[i+1]
+			if i+2 == len(bounds) {
+				copy(dst[lo:mid], src[lo:mid])
+				merged = append(merged, mid)
+				continue
+			}
+			hi := bounds[i+2]
+			mergeRuns(dst[lo:hi], src[lo:mid], src[mid:hi])
+			merged = append(merged, hi)
 		}
-		if a.B != b.B {
-			return a.B < b.B
+		bounds = merged
+		src, dst = dst, src
+	}
+	if &src[0] != &cs[0] {
+		copy(cs, src)
+	}
+}
+
+// mergeRuns merges the sorted runs a and b into dst, len(a)+len(b) long.
+func mergeRuns(dst, a, b []Contact) {
+	i, j, k := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		if contactLess(b[j], a[i]) {
+			dst[k] = b[j]
+			j++
+		} else {
+			dst[k] = a[i]
+			i++
 		}
-		return a.End < b.End
-	})
+		k++
+	}
+	k += copy(dst[k:], a[i:])
+	copy(dst[k:], b[j:])
 }
 
 // Slice returns a copy of the trace restricted to contacts that start in

@@ -42,6 +42,11 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		{"negative start", func(tr *Trace) { tr.Contacts[0].Start = -1 }, ErrBadContact},
 		{"unsorted", func(tr *Trace) { tr.Contacts[0].Start, tr.Contacts[0].End = 50, 60 }, ErrUnsorted},
 		{"beyond duration", func(tr *Trace) { tr.Contacts[3].End = 1000 }, ErrBeyondDuration},
+		{"NaN start", func(tr *Trace) { tr.Contacts[1].Start = math.NaN() }, ErrNonFinite},
+		{"NaN end", func(tr *Trace) { tr.Contacts[1].End = math.NaN() }, ErrNonFinite},
+		{"infinite end", func(tr *Trace) { tr.Contacts[3].End, tr.Duration = math.Inf(1), math.Inf(1) }, ErrNonFinite},
+		{"NaN duration", func(tr *Trace) { tr.Duration = math.NaN() }, ErrNonFinite},
+		{"infinite duration", func(tr *Trace) { tr.Duration = math.Inf(1) }, ErrNonFinite},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
