@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"freshcache/internal/centrality"
+	"freshcache/internal/core"
 	"freshcache/internal/metrics"
 	"freshcache/internal/obs"
 )
@@ -23,12 +24,12 @@ type suiteExports struct {
 // two-stream scheduler (ref=false) or the single-heap reference core
 // (ref=true) and captures all exports.
 func runExports(t *testing.T, id string, ref bool) suiteExports {
-	return runExportsOpts(t, id, func(o *Options) { o.ReferenceScheduler = ref })
+	return runExportsOpts(t, id, func(cfg *core.Config) { cfg.ReferenceScheduler = ref })
 }
 
-// runExportsOpts is the generalized capture: tweak mutates the baseline
-// options before the run, so any pair of configurations can be diffed.
-func runExportsOpts(t *testing.T, id string, tweak func(*Options)) suiteExports {
+// runExportsOpts is the generalized capture: hook adjusts every run's
+// engine config, so any pair of engine modes can be diffed.
+func runExportsOpts(t *testing.T, id string, hook func(*core.Config)) suiteExports {
 	t.Helper()
 	e, err := ByID(id)
 	if err != nil {
@@ -37,9 +38,8 @@ func runExportsOpts(t *testing.T, id string, tweak func(*Options)) suiteExports 
 	o := obs.NewObserver(obs.Config{SampleEvery: 1, Lineage: true, TimelineTick: 6 * 3600})
 	opts := Options{
 		Seed: 42, Quick: true, Parallel: 4,
-		Stats: metrics.NewRunStats(), Obs: o,
+		Stats: metrics.NewRunStats(), Obs: o, engineHook: hook,
 	}
-	tweak(&opts)
 	tables, err := e.Run(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -66,8 +66,11 @@ func runExportsOpts(t *testing.T, id string, tweak func(*Options)) suiteExports 
 // diffExports asserts two runs produced byte-identical exports and tables.
 func diffExports(t *testing.T, id string, two, ref suiteExports) {
 	t.Helper()
-	if len(two.events) == 0 {
-		t.Fatalf("%s: no trace events captured", id)
+	// An empty export would diff equal to anything; the timeline CSV always
+	// carries its header line, so it needs at least one point row.
+	if len(two.events) == 0 || len(two.lineage) == 0 || bytes.Count(two.timeline, []byte("\n")) < 2 {
+		t.Fatalf("%s: empty exports captured (%d event, %d lineage, %d timeline bytes)",
+			id, len(two.events), len(two.lineage), len(two.timeline))
 	}
 	for _, cmp := range []struct {
 		name     string
@@ -130,7 +133,7 @@ func TestDifferentialSparseRateBacking(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the quick E2 sweep twice with unsampled tracing")
 	}
-	sparse := runExportsOpts(t, "E2", func(o *Options) { o.RateBacking = centrality.BackingSparse })
-	dense := runExportsOpts(t, "E2", func(o *Options) { o.RateBacking = centrality.BackingDense })
+	sparse := runExportsOpts(t, "E2", func(cfg *core.Config) { cfg.RateBacking = centrality.BackingSparse })
+	dense := runExportsOpts(t, "E2", func(cfg *core.Config) { cfg.RateBacking = centrality.BackingDense })
 	diffExports(t, "E2", sparse, dense)
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"freshcache/internal/centrality"
 	"freshcache/internal/core"
 	"freshcache/internal/eventsim"
 	"freshcache/internal/metrics"
@@ -56,19 +55,15 @@ type Options struct {
 	// KeepGoing runs sweeps in degradation mode: cell failures no longer
 	// abort the grid; failed cells become explicit NA table holes.
 	KeepGoing bool
-	// ReferenceScheduler runs every cell on the single-heap reference
-	// event core instead of the two-stream scheduler. Differential
-	// determinism tests only — it is strictly slower.
-	ReferenceScheduler bool
 	// Costs, when non-nil, collects per-cell cost attribution (wall time,
 	// attempts, single-worker alloc deltas, optional CPU profiles) across
 	// every sweep for the cross-run results store.
 	Costs *CellCosts
-	// RateBacking forces the engine's contact-rate representation for
-	// every run (dense matrix vs sorted neighbor lists). The zero value
-	// picks automatically by node count; the explicit settings exist for
-	// the sparse-vs-dense differential tests.
-	RateBacking centrality.Backing
+
+	// engineHook, when non-nil, adjusts every run's engine config just
+	// before the engine is built. Tests use it to force engine modes (the
+	// reference scheduler, a rate backing) across a whole experiment.
+	engineHook func(*core.Config)
 }
 
 // record folds one run's result into the optional stats accumulator.
@@ -105,25 +100,51 @@ func cellLabel(c Cell) string {
 	return fmt.Sprintf("%s/%s/p%02d/%s/r%d", c.Experiment, c.Preset, c.Point, c.Scheme, c.Replicate)
 }
 
-// runScenario runs one labelled scenario with the options' observability
-// attached: the run gets its own event trace, lineage, timeline and the
-// shared registry, and a successful result is folded into Stats and the
-// per-scheme roll-ups. Failed runs commit nothing, so exports only carry
-// completed cells.
-func (o Options) runScenario(label string, sc Scenario, scheme core.Scheme, tr *trace.Trace) (metrics.Result, *core.Engine, error) {
-	run := o.Obs.OpenRun(label, scheme.Name())
-	sc.Obs = run.Trace
-	sc.Metrics = run.Metrics
-	sc.Lineage = run.Lineage
-	sc.Timeline = run.Timeline
-	sc.TimelineTick = run.TimelineTick
-	res, eng, err := sc.RunOnTrace(scheme, tr)
+// runEngine is the package's one engine-run path. It attaches the run's
+// own event trace, lineage and timeline plus the shared registry from Obs,
+// applies the test hook, runs the engine, and folds a successful result
+// into Stats and the per-scheme roll-ups. Failed runs commit nothing, so
+// exports only carry completed runs. Labels must be unique across a suite
+// run, which the observer's deterministic flush order relies on.
+func (o Options) runEngine(label string, cfg core.Config) (metrics.Result, *core.Engine, error) {
+	run := o.Obs.OpenRun(label, cfg.Scheme.Name())
+	if o.Obs != nil {
+		cfg.Obs, cfg.Metrics = run.Trace, run.Metrics
+		cfg.Lineage, cfg.Timeline, cfg.TimelineTick = run.Lineage, run.Timeline, run.TimelineTick
+	}
+	cfg = adjusted(cfg, o.engineHook)
+	eng, err := core.NewEngine(cfg)
 	if err != nil {
-		return res, eng, err
+		return metrics.Result{}, nil, err
+	}
+	res, err := eng.Run()
+	if err != nil {
+		return metrics.Result{}, nil, fmt.Errorf("expt: %s/%s: %w", cfg.Scheme.Name(), cfg.Trace.Name, err)
 	}
 	o.record(res)
 	run.Commit(res)
 	return res, eng, nil
+}
+
+// adjusted returns cfg as f (nil for none) adjusts it. f works on a
+// branch-local copy: passing the caller's own &cfg to an unknown function
+// would move that config to the heap on every run, f or not.
+func adjusted(cfg core.Config, f func(*core.Config)) core.Config {
+	if f != nil {
+		c := cfg
+		f(&c)
+		return c
+	}
+	return cfg
+}
+
+// runScenario runs scheme on tr under sc's engine config.
+func (o Options) runScenario(label string, sc Scenario, scheme core.Scheme, tr *trace.Trace) (metrics.Result, *core.Engine, error) {
+	cfg, err := sc.config(scheme, tr)
+	if err != nil {
+		return metrics.Result{}, nil, err
+	}
+	return o.runEngine(label, cfg)
 }
 
 // Experiment is one reproducible unit of the evaluation: it regenerates
@@ -158,9 +179,14 @@ func genTrace(preset string, seed int64) (*trace.Trace, error) {
 	return sharedTraces.Get(preset, TraceSeedFor(seed, 0))
 }
 
-// genTraceCompiled is genTrace plus the shared compiled contact timeline.
-func genTraceCompiled(preset string, seed int64) (*trace.Trace, []eventsim.StaticEvent, error) {
-	return sharedTraces.GetCompiled(preset, TraceSeedFor(seed, 0))
+// cellTrace returns a sweep cell's cached trace and shared compiled
+// contact timeline: the extension sweeps' community trace is keyed by the
+// cell's trace seed itself, mobility presets by genTrace's derivation of it.
+func cellTrace(c Cell) (*trace.Trace, []eventsim.StaticEvent, error) {
+	if c.Preset == extPreset {
+		return sharedTraces.GetFuncCompiled(c.Preset, c.TraceSeed, extCommunity().Generate)
+	}
+	return sharedTraces.GetCompiled(c.Preset, TraceSeedFor(c.TraceSeed, 0))
 }
 
 // reusePool recycles worker-local engine state (simulator storage, scheme
@@ -276,35 +302,39 @@ func runE1(opts Options) ([]*Table, error) {
 	return []*Table{t}, nil
 }
 
-// runSweepCell is the shared cell body of the swept paper experiments: it
-// fetches the cell's cached trace, lets mutate specialize the scenario for
-// the cell's sweep point, runs the cell's scheme, records run statistics,
-// and extracts the metric vector.
-func runSweepCell(opts Options, c Cell, mutate func(sc *Scenario), extract func(res metrics.Result, eng *core.Engine) []float64) ([]float64, error) {
-	tr, tl, err := genTraceCompiled(c.Preset, c.TraceSeed)
+// runSweepCell is the one cell body of the paper and extension sweeps: it
+// runs the cell's scheme under sc on the cell's cached trace and shared
+// compiled contact timeline, with engine state pooled across the cells a
+// worker runs back to back. tweak (nil for none) adjusts the engine
+// config; extract turns the finished run into the cell's metric vector
+// before the pooled state is recycled.
+func runSweepCell(opts Options, c Cell, sc Scenario, tweak func(*core.Config), extract func(metrics.Result, *core.Engine) []float64) ([]float64, error) {
+	tr, tl, err := cellTrace(c)
 	if err != nil {
 		return nil, err
-	}
-	sc := defaultScenario(c.Preset, c.Seed)
-	if mutate != nil {
-		mutate(&sc)
 	}
 	scheme, err := core.SchemeByName(c.Scheme)
 	if err != nil {
 		return nil, err
 	}
 	sc.ContactTimeline = tl
-	sc.ReferenceScheduler = opts.ReferenceScheduler
-	sc.RateBacking = opts.RateBacking
+	cfg, err := sc.config(scheme, tr)
+	if err != nil {
+		return nil, err
+	}
+	cfg = adjusted(cfg, tweak)
 	reuse := getReuse()
 	defer putReuse(reuse)
-	sc.Reuse = reuse
-	res, eng, err := opts.runScenario(cellLabel(c), sc, scheme, tr)
+	cfg.Reuse = reuse
+	res, eng, err := opts.runEngine(cellLabel(c), cfg)
 	if err != nil {
 		return nil, err
 	}
 	return extract(res, eng), nil
 }
+
+// freshness extracts a run's freshness ratio as a one-metric cell vector.
+func freshness(r metrics.Result, _ *core.Engine) []float64 { return []float64{r.FreshnessRatio} }
 
 // schemeGrid renders one preset's slice of a sweep result as an
 // (x, one metric per scheme) table.
@@ -328,9 +358,9 @@ func runE2(opts Options) ([]*Table, error) {
 		rs := refreshSweep(preset, opts.Quick)
 		sw := opts.sweep("E2", []string{preset}, len(rs), figureSchemes())
 		res, err := sw.Run(func(c Cell) ([]float64, error) {
-			return runSweepCell(opts, c,
-				func(sc *Scenario) { sc.RefreshInterval = rs[c.Point] },
-				func(r metrics.Result, _ *core.Engine) []float64 { return []float64{r.FreshnessRatio} })
+			sc := defaultScenario(c.Preset, c.Seed)
+			sc.RefreshInterval = rs[c.Point]
+			return runSweepCell(opts, c, sc, nil, freshness)
 		})
 		if err != nil {
 			return nil, err
@@ -353,15 +383,14 @@ func runE3(opts Options) ([]*Table, error) {
 	ps := presets(opts)
 	sw := opts.sweep("E3", ps, len(ratesPerDay), figureSchemes())
 	res, err := sw.Run(func(c Cell) ([]float64, error) {
-		return runSweepCell(opts, c,
-			func(sc *Scenario) {
-				sc.QueryRate = ratesPerDay[c.Point] / mobility.Day
-				// Data is useful for exactly one refresh interval, so the
-				// figure isolates how well each scheme keeps the *current*
-				// version available (the default 2×R lifetime saturates on
-				// the dense trace).
-				sc.Lifetime = sc.RefreshInterval
-			},
+		sc := defaultScenario(c.Preset, c.Seed)
+		sc.QueryRate = ratesPerDay[c.Point] / mobility.Day
+		// Data is useful for exactly one refresh interval, so the figure
+		// isolates how well each scheme keeps the *current* version
+		// available (the default 2×R lifetime saturates on the dense
+		// trace).
+		sc.Lifetime = sc.RefreshInterval
+		return runSweepCell(opts, c, sc, nil,
 			func(r metrics.Result, _ *core.Engine) []float64 { return []float64{r.ValidAccessRate} })
 	})
 	if err != nil {
@@ -387,9 +416,9 @@ func runE4(opts Options) ([]*Table, error) {
 	ps := presets(opts)
 	sw := opts.sweep("E4", ps, len(ks), figureSchemes())
 	res, err := sw.Run(func(c Cell) ([]float64, error) {
-		return runSweepCell(opts, c,
-			func(sc *Scenario) { sc.NumCachingNodes = ks[c.Point] },
-			func(r metrics.Result, _ *core.Engine) []float64 { return []float64{r.FreshnessRatio} })
+		sc := defaultScenario(c.Preset, c.Seed)
+		sc.NumCachingNodes = ks[c.Point]
+		return runSweepCell(opts, c, sc, nil, freshness)
 	})
 	if err != nil {
 		return nil, err
@@ -486,8 +515,9 @@ func runE7(opts Options) ([]*Table, error) {
 	ps := presets(opts)
 	sw := opts.sweep("E7", ps, len(preqs), []string{"hierarchical"})
 	res, err := sw.Run(func(c Cell) ([]float64, error) {
-		return runSweepCell(opts, c,
-			func(sc *Scenario) { sc.PReq = preqs[c.Point] },
+		sc := defaultScenario(c.Preset, c.Seed)
+		sc.PReq = preqs[c.Point]
+		return runSweepCell(opts, c, sc, nil,
 			func(r metrics.Result, eng *core.Engine) []float64 {
 				relayPerVer := 0.0
 				if r.VersionsGenerated > 0 {
@@ -524,8 +554,9 @@ func runE8(opts Options) ([]*Table, error) {
 	ps := presets(opts)
 	sw := opts.sweep("E8", ps, len(factors), schemes)
 	res, err := sw.Run(func(c Cell) ([]float64, error) {
-		return runSweepCell(opts, c,
-			func(sc *Scenario) { sc.FreshnessWindow = factors[c.Point] * sc.RefreshInterval },
+		sc := defaultScenario(c.Preset, c.Seed)
+		sc.FreshnessWindow = factors[c.Point] * sc.RefreshInterval
+		return runSweepCell(opts, c, sc, nil,
 			func(r metrics.Result, _ *core.Engine) []float64 { return []float64{r.OnTimeRatio} })
 	})
 	if err != nil {

@@ -8,7 +8,6 @@ import (
 	"freshcache/internal/mobility"
 	"freshcache/internal/network"
 	"freshcache/internal/stats"
-	"freshcache/internal/trace"
 )
 
 // The extension experiments (E11…E13) go beyond the paper's evaluation:
@@ -16,8 +15,8 @@ import (
 // (distributed) contact-rate knowledge, and the extended baseline panel.
 // They run each point over several seeds and report mean ± 95% CI, since
 // failure injection adds variance. The sweep-shaped ones run their cell
-// grids on the worker-pool runner (sweep.go); E14 and E16, which drive
-// custom engines, stay on the sequential meanCI helper.
+// grids on the worker-pool runner (sweep.go); E14 and E16 keep the
+// sequential meanCI helper and its consecutive replicate seeds.
 
 // replicas is the number of seeds per point in the extension experiments,
 // unless overridden by Options.Replicates.
@@ -34,9 +33,15 @@ func replicas(opts Options) int {
 // extSweep builds an extension-experiment sweep: same grid mechanics as
 // Options.sweep but with the replicate default raised to replicas(opts).
 func extSweep(opts Options, id string, points int, schemes []string) Sweep {
-	sw := opts.sweep(id, []string{"ext-community"}, points, schemes)
+	sw := opts.sweep(id, []string{extPreset}, points, schemes)
 	sw.Replicates = replicas(opts)
 	return sw
+}
+
+// replicateLabel names one run of a meanCI replicate loop in the sweep
+// cells' label scheme (the loops run the hierarchical scheme only).
+func replicateLabel(experiment, preset string, point, rep int) string {
+	return cellLabel(Cell{Experiment: experiment, Preset: preset, Point: point, Scheme: "hierarchical", Replicate: rep})
 }
 
 // meanCI runs f over `n` replicates — rep is the replicate index, seed the
@@ -56,15 +61,20 @@ func meanCI(n int, base int64, f func(rep int, seed int64) (float64, error)) (fl
 	return stats.Mean(xs), stats.CI95(xs), nil
 }
 
-// extTrace returns the (cached) mid-size community trace the extension
+// Trace-cache keys of the extension experiments' traces.
+const (
+	extPreset   = "ext-community"
+	driftPreset = "drift-community"
+)
+
+// extCommunity is the mid-size community generator the extension
 // experiments run on.
-func extTrace(seed int64) (*trace.Trace, error) {
-	g := &mobility.Community{
-		TraceName: "ext-community", N: 40, Duration: 12 * mobility.Day, Communities: 4,
+func extCommunity() *mobility.Community {
+	return &mobility.Community{
+		TraceName: extPreset, N: 40, Duration: 12 * mobility.Day, Communities: 4,
 		IntraRate: 8.0 / mobility.Day, InterRate: 1.0 / mobility.Day, RateShape: 0.8,
 		InterPairFraction: 0.7, HubFraction: 0.1, HubBoost: 3, MeanContactDur: 180,
 	}
-	return sharedTraces.GetFunc("ext-community", seed, g.Generate)
 }
 
 // extScenario builds the mid-size community scenario used by the
@@ -72,71 +82,13 @@ func extTrace(seed int64) (*trace.Trace, error) {
 // stay fast, but structurally identical).
 func extScenario(seed int64) Scenario {
 	return Scenario{
-		TracePreset:     "ext-community",
+		TracePreset:     extPreset,
 		NumItems:        3,
 		RefreshInterval: 4 * mobility.Hour,
 		NumCachingNodes: 6,
 		QueryRate:       1.0 / (2 * mobility.Hour),
 		Seed:            seed,
 	}
-}
-
-// runExtOn runs the extension scenario on the given trace with config
-// tweaks; seed drives the protocol and workload randomness.
-func runExtOn(tr *trace.Trace, seed int64, schemeName string, mutate func(*core.Config)) (metrics.Result, error) {
-	sc := extScenario(seed).withDefaults()
-	cat, err := sc.buildCatalog()
-	if err != nil {
-		return metrics.Result{}, err
-	}
-	scheme, err := core.SchemeByName(schemeName)
-	if err != nil {
-		return metrics.Result{}, err
-	}
-	cfg := core.Config{
-		Trace:           tr,
-		Catalog:         cat,
-		Scheme:          scheme,
-		NumCachingNodes: sc.NumCachingNodes,
-		PReq:            sc.PReq,
-		Seed:            seed,
-		Workload:        cache.WorkloadConfig{QueryRate: sc.QueryRate, ZipfExponent: 1.0},
-	}
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	eng, err := core.NewEngine(cfg)
-	if err != nil {
-		return metrics.Result{}, err
-	}
-	return eng.Run()
-}
-
-// runExtCell is the sweep-cell body of the ported extension experiments:
-// the trace comes from the shared cache keyed by the cell's TraceSeed (so
-// all cells of one replicate are paired on a common trace), the protocol
-// and workload randomness from the cell's derived Seed.
-func runExtCell(opts Options, c Cell, mutate func(*core.Config)) (metrics.Result, error) {
-	tr, err := extTrace(c.TraceSeed)
-	if err != nil {
-		return metrics.Result{}, err
-	}
-	rt := opts.Obs.Run(cellLabel(c))
-	res, err := runExtOn(tr, c.Seed, c.Scheme, func(cfg *core.Config) {
-		cfg.Obs = rt
-		cfg.Metrics = opts.Obs.Registry()
-		cfg.ReferenceScheduler = opts.ReferenceScheduler
-		if mutate != nil {
-			mutate(cfg)
-		}
-	})
-	if err != nil {
-		return metrics.Result{}, err
-	}
-	opts.record(res)
-	opts.Obs.Commit(rt)
-	opts.Obs.RecordRun(res.Scheme, res)
-	return res, nil
 }
 
 func runE11(opts Options) ([]*Table, error) {
@@ -158,15 +110,11 @@ func runE11(opts Options) ([]*Table, error) {
 	}
 	churnRes, err := extSweep(opts, "E11-churn", len(points), schemes).Run(func(c Cell) ([]float64, error) {
 		p := points[c.Point]
-		res, err := runExtCell(opts, c, func(cfg *core.Config) {
+		return runSweepCell(opts, c, extScenario(c.Seed), func(cfg *core.Config) {
 			if p.up > 0 {
 				cfg.Churn = network.ChurnConfig{MeanUp: p.up, MeanDown: p.down}
 			}
-		})
-		if err != nil {
-			return nil, err
-		}
-		return []float64{res.FreshnessRatio}, nil
+		}, freshness)
 	})
 	if err != nil {
 		return nil, err
@@ -189,11 +137,8 @@ func runE11(opts Options) ([]*Table, error) {
 		drops = drops[:2]
 	}
 	lossRes, err := extSweep(opts, "E11-loss", len(drops), schemes).Run(func(c Cell) ([]float64, error) {
-		res, err := runExtCell(opts, c, func(cfg *core.Config) { cfg.DropProb = drops[c.Point] })
-		if err != nil {
-			return nil, err
-		}
-		return []float64{res.FreshnessRatio}, nil
+		return runSweepCell(opts, c, extScenario(c.Seed),
+			func(cfg *core.Config) { cfg.DropProb = drops[c.Point] }, freshness)
 	})
 	if err != nil {
 		return nil, err
@@ -223,11 +168,11 @@ func runE12(opts Options) ([]*Table, error) {
 		{"distributed", core.KnowledgeDistributed},
 	}
 	res, err := extSweep(opts, "E12", len(modes), schemes).Run(func(c Cell) ([]float64, error) {
-		r, err := runExtCell(opts, c, func(cfg *core.Config) { cfg.Knowledge = modes[c.Point].k })
-		if err != nil {
-			return nil, err
-		}
-		return []float64{r.FreshnessRatio, r.TxPerVersion, r.OnTimeRatio}, nil
+		return runSweepCell(opts, c, extScenario(c.Seed),
+			func(cfg *core.Config) { cfg.Knowledge = modes[c.Point].k },
+			func(r metrics.Result, _ *core.Engine) []float64 {
+				return []float64{r.FreshnessRatio, r.TxPerVersion, r.OnTimeRatio}
+			})
 	})
 	if err != nil {
 		return nil, err
@@ -251,11 +196,9 @@ func runE13(opts Options) ([]*Table, error) {
 		names = []string{"direct", "spray", "hierarchical"}
 	}
 	res, err := extSweep(opts, "E13", 1, names).Run(func(c Cell) ([]float64, error) {
-		r, err := runExtCell(opts, c, nil)
-		if err != nil {
-			return nil, err
-		}
-		return []float64{r.FreshnessRatio, r.ValidAccessRate, r.TxPerVersion, r.SourceTxShare}, nil
+		return runSweepCell(opts, c, extScenario(c.Seed), nil, func(r metrics.Result, _ *core.Engine) []float64 {
+			return []float64{r.FreshnessRatio, r.ValidAccessRate, r.TxPerVersion, r.SourceTxShare}
+		})
 	})
 	if err != nil {
 		return nil, err
@@ -281,45 +224,33 @@ func runE14(opts Options) ([]*Table, error) {
 	if opts.Quick {
 		intervals = intervals[:2]
 	}
-	for _, days := range intervals {
-		days := days
+	for pt, days := range intervals {
 		var txSum float64
 		mean, ci, err := meanCI(n, opts.Seed, func(rep int, seed int64) (float64, error) {
-			tr, err := sharedTraces.GetFunc("drift-community", TraceSeedFor(opts.Seed, rep),
+			tr, err := sharedTraces.GetFunc(driftPreset, TraceSeedFor(opts.Seed, rep),
 				mobility.DriftingCommunity(40, 8*mobility.Day).Generate)
 			if err != nil {
 				return 0, err
 			}
-			sc := extScenario(seed).withDefaults()
-			cat, err := sc.buildCatalog()
+			sc := extScenario(seed)
+			sc.QueryRate = 0
+			cfg, err := sc.config(core.NewHierarchical(), tr)
 			if err != nil {
 				return 0, err
 			}
-			eng, err := core.NewEngine(core.Config{
-				Trace:           tr,
-				Catalog:         cat,
-				Scheme:          core.NewHierarchical(),
-				NumCachingNodes: sc.NumCachingNodes,
-				WarmupFraction:  0.25,
-				RebuildInterval: days * mobility.Day,
-				Seed:            seed,
-			})
+			cfg.WarmupFraction = 0.25
+			cfg.RebuildInterval = days * mobility.Day
+			res, _, err := opts.runEngine(replicateLabel("E14", driftPreset, pt, rep), cfg)
 			if err != nil {
 				return 0, err
 			}
-			res, err := eng.Run()
-			if err != nil {
-				return 0, err
-			}
-			opts.record(res)
 			txSum += res.TxPerVersion
 			return res.FreshnessRatio, nil
 		})
 		if err != nil {
 			return nil, err
 		}
-		label := days
-		t.AddRow(label, mean, ci, txSum/float64(n))
+		t.AddRow(days, mean, ci, txSum/float64(n))
 	}
 	return []*Table{t}, nil
 }
@@ -330,11 +261,11 @@ func runE15(opts Options) ([]*Table, error) {
 		centrality.PlaceRandom, centrality.PlaceTopCentrality, centrality.PlaceGreedyCoverage,
 	}
 	res, err := extSweep(opts, "E15", len(placements), schemes).Run(func(c Cell) ([]float64, error) {
-		r, err := runExtCell(opts, c, func(cfg *core.Config) { cfg.Placement = placements[c.Point] })
-		if err != nil {
-			return nil, err
-		}
-		return []float64{r.FreshnessRatio, r.ValidAccessRate}, nil
+		return runSweepCell(opts, c, extScenario(c.Seed),
+			func(cfg *core.Config) { cfg.Placement = placements[c.Point] },
+			func(r metrics.Result, _ *core.Engine) []float64 {
+				return []float64{r.FreshnessRatio, r.ValidAccessRate}
+			})
 	})
 	if err != nil {
 		return nil, err
@@ -362,41 +293,27 @@ func runE16(opts Options) ([]*Table, error) {
 	if opts.Quick {
 		caps = caps[:2]
 	}
-	for _, capacity := range caps {
-		for _, policy := range []cache.Policy{cache.EvictLRU, cache.EvictLFU} {
-			capacity := capacity
-			policy := policy
+	policies := []cache.Policy{cache.EvictLRU, cache.EvictLFU}
+	for ci, capacity := range caps {
+		for pi, policy := range policies {
 			var validSum, answeredSum float64
 			mean, _, err := meanCI(n, opts.Seed, func(rep int, seed int64) (float64, error) {
-				tr, err := extTrace(TraceSeedFor(opts.Seed, rep))
+				tr, err := sharedTraces.GetFunc(extPreset, TraceSeedFor(opts.Seed, rep), extCommunity().Generate)
 				if err != nil {
 					return 0, err
 				}
 				sc := extScenario(seed)
 				sc.NumItems = 20
-				sc = sc.withDefaults()
-				cat, err := sc.buildCatalog()
+				cfg, err := sc.config(core.NewHierarchical(), tr)
 				if err != nil {
 					return 0, err
 				}
-				eng, err := core.NewEngine(core.Config{
-					Trace:           tr,
-					Catalog:         cat,
-					Scheme:          core.NewHierarchical(),
-					NumCachingNodes: sc.NumCachingNodes,
-					CacheCapacity:   capacity,
-					CachePolicy:     policy,
-					Seed:            seed,
-					Workload:        cache.WorkloadConfig{QueryRate: sc.QueryRate, ZipfExponent: 1.0},
-				})
+				cfg.CacheCapacity = capacity
+				cfg.CachePolicy = policy
+				res, _, err := opts.runEngine(replicateLabel("E16", extPreset, ci*len(policies)+pi, rep), cfg)
 				if err != nil {
 					return 0, err
 				}
-				res, err := eng.Run()
-				if err != nil {
-					return 0, err
-				}
-				opts.record(res)
 				validSum += res.ValidAccessRate
 				answeredSum += res.AnsweredOK
 				return res.FreshnessRatio, nil
@@ -415,6 +332,10 @@ func runE17(opts Options) ([]*Table, error) {
 		ID: "E17", Title: "Analytical tree forecast vs measured on-time delivery (relay-free hierarchy)",
 		Header: []string{"trace", "predictedOnTime", "measuredOnTime", "absGap"},
 	}
+	// The forecast runs have never counted toward run statistics, and the
+	// quick suite's pinned run totals exclude them: they run with Stats off.
+	forecast := opts
+	forecast.Stats = nil
 	for _, preset := range presets(opts) {
 		tr, err := genTrace(preset, opts.Seed)
 		if err != nil {
@@ -428,21 +349,8 @@ func runE17(opts Options) ([]*Table, error) {
 		sc.FreshnessWindow = 6 * mobility.Hour
 		sc.Lifetime = 96 * mobility.Hour
 		sc.QueryRate = 0
-		cat, err := sc.buildCatalog()
+		_, eng, err := forecast.runScenario("E17/"+preset, sc, core.NewHierarchicalBare(), tr)
 		if err != nil {
-			return nil, err
-		}
-		eng, err := core.NewEngine(core.Config{
-			Trace:           tr,
-			Catalog:         cat,
-			Scheme:          core.NewHierarchicalBare(),
-			NumCachingNodes: sc.NumCachingNodes,
-			Seed:            opts.Seed,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if _, err := eng.Run(); err != nil {
 			return nil, err
 		}
 		rt := eng.Runtime()
@@ -491,15 +399,15 @@ func runE18(opts Options) ([]*Table, error) {
 		relayCounts = relayCounts[:2]
 	}
 	res, err := extSweep(opts, "E18", len(relayCounts), schemes).Run(func(c Cell) ([]float64, error) {
-		r, err := runExtCell(opts, c, func(cfg *core.Config) { cfg.QueryRelays = relayCounts[c.Point] })
-		if err != nil {
-			return nil, err
-		}
-		qtx := 0.0
-		if r.Queries > 0 {
-			qtx = float64(r.TransmissionsByKind["query"]) / float64(r.Queries)
-		}
-		return []float64{r.AnsweredOK, r.ValidAccessRate, r.MeanAccessDelaySec / mobility.Hour, qtx}, nil
+		return runSweepCell(opts, c, extScenario(c.Seed),
+			func(cfg *core.Config) { cfg.QueryRelays = relayCounts[c.Point] },
+			func(r metrics.Result, _ *core.Engine) []float64 {
+				qtx := 0.0
+				if r.Queries > 0 {
+					qtx = float64(r.TransmissionsByKind["query"]) / float64(r.Queries)
+				}
+				return []float64{r.AnsweredOK, r.ValidAccessRate, r.MeanAccessDelaySec / mobility.Hour, qtx}
+			})
 	})
 	if err != nil {
 		return nil, err
@@ -590,11 +498,11 @@ func runE20(opts Options) ([]*Table, error) {
 		fanouts = fanouts[:2]
 	}
 	res, err := extSweep(opts, "E20", len(fanouts), []string{"hierarchical"}).Run(func(c Cell) ([]float64, error) {
-		r, err := runExtCell(opts, c, func(cfg *core.Config) { cfg.MaxFanout = fanouts[c.Point] })
-		if err != nil {
-			return nil, err
-		}
-		return []float64{r.FreshnessRatio, r.TxPerVersion, r.SourceTxShare, r.SchemeStats["meanTreeDepth"]}, nil
+		return runSweepCell(opts, c, extScenario(c.Seed),
+			func(cfg *core.Config) { cfg.MaxFanout = fanouts[c.Point] },
+			func(r metrics.Result, _ *core.Engine) []float64 {
+				return []float64{r.FreshnessRatio, r.TxPerVersion, r.SourceTxShare, r.SchemeStats["meanTreeDepth"]}
+			})
 	})
 	if err != nil {
 		return nil, err

@@ -51,7 +51,6 @@ func runE21(opts Options) ([]*Table, error) {
 	// this trace), so the default 4 h freshness window is infeasible at
 	// this scale; a 12 h cycle is the realistic operating point.
 	sc.RefreshInterval = 12 * mobility.Hour
-	sc.RateBacking = opts.RateBacking
 	res, _, err := opts.runScenario(fmt.Sprintf("E21/large-%d", n), sc, core.NewHierarchical(), tr)
 	if err != nil {
 		return nil, err

@@ -247,3 +247,74 @@ func TestE10TimingsOptIn(t *testing.T) {
 		t.Fatalf("-timings E10 missing wall-clock column:\n%s", timed[0].CSV())
 	}
 }
+
+// TestObsCoversEveryRun runs every engine-driven quick experiment with
+// lineage and timeline on and checks that -obs sees each of its runs: the
+// experiment commits at least one run, every committed run is folded into
+// the per-scheme roll-ups, and run labels are unique across the suite
+// (the exports' sorted flush relies on it). Extension cells must carry
+// lineage spans and timeline points like the paper's.
+func TestObsCoversEveryRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the quick suite E2-E20 with lineage and timeline on")
+	}
+	labels := map[string]string{} // run label → experiment
+	for _, e := range All() {
+		if e.ID == "E1" || e.ID == "E21" {
+			continue // E1 runs no engine; E21 is the large-N smoke run
+		}
+		// Tiny per-run caps: the test counts runs, not their contents.
+		o := obs.NewObserver(obs.Config{SampleEvery: 1 << 20, BufferCap: 1, Lineage: true,
+			LineageCap: 8, TimelineTick: 3600, TimelineCap: 8})
+		if _, err := e.Run(Options{Seed: 42, Quick: true, Parallel: 2, Obs: o}); err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+		st := o.Stats()
+		if st.Runs == 0 {
+			t.Errorf("%s committed no runs", e.ID)
+			continue
+		}
+		rolled := 0
+		for _, ru := range o.SchemeRollups() {
+			rolled += ru.Runs
+		}
+		if rolled != st.Runs {
+			t.Errorf("%s: roll-ups fold %d runs, %d committed", e.ID, rolled, st.Runs)
+		}
+		if st.Spans == 0 || st.TimelinePoints == 0 {
+			t.Errorf("%s: %d lineage spans, %d timeline points", e.ID, st.Spans, st.TimelinePoints)
+		}
+
+		var ct bytes.Buffer
+		if err := o.WriteChromeTrace(&ct); err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			TraceEvents []struct {
+				Name string         `json:"name"`
+				Args map[string]any `json:"args"`
+			} `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(ct.Bytes(), &doc); err != nil {
+			t.Fatalf("%s: Chrome trace: %v", e.ID, err)
+		}
+		runs := 0
+		for _, ev := range doc.TraceEvents {
+			if ev.Name != "process_name" {
+				continue
+			}
+			runs++
+			label, _ := ev.Args["name"].(string)
+			if !strings.HasPrefix(label, e.ID+"/") && !strings.HasPrefix(label, e.ID+"-") {
+				t.Errorf("%s committed run %q", e.ID, label)
+			}
+			if prev, dup := labels[label]; dup {
+				t.Errorf("run label %q committed by both %s and %s", label, prev, e.ID)
+			}
+			labels[label] = e.ID
+		}
+		if runs != st.Runs {
+			t.Errorf("%s: %d labelled runs in the Chrome trace, %d committed", e.ID, runs, st.Runs)
+		}
+	}
+}

@@ -1,10 +1,7 @@
 package expt
 
 import (
-	"fmt"
-
 	"freshcache/internal/cache"
-	"freshcache/internal/centrality"
 	"freshcache/internal/core"
 	"freshcache/internal/eventsim"
 	"freshcache/internal/metrics"
@@ -27,32 +24,13 @@ type Scenario struct {
 	PReq            float64 // defaults to 0.9
 	Seed            int64
 
-	// Obs and Metrics thread per-run observability into the engine (both
-	// nil when -obs is off). Lineage and Timeline are the causal span tree
-	// and the simulated-time telemetry sampler (nil when -lineage /
-	// -timeline-tick are off); TimelineTick is the sampling period in
-	// simulated seconds (<= 0 = engine default).
-	Obs          *obs.RunTrace
-	Metrics      *obs.Registry
-	Lineage      *obs.Lineage
-	Timeline     *obs.Timeline
-	TimelineTick float64
+	// Metrics, when non-nil, receives RunOnTrace's registry metrics.
+	Metrics *obs.Registry
 
 	// ContactTimeline is the pre-compiled contact timeline for the trace
 	// handed to RunOnTrace (network.CompileTimeline); nil compiles on the
 	// fly. Sweeps thread the TraceCache's shared copy here.
 	ContactTimeline []eventsim.StaticEvent
-	// Reuse recycles worker-local engine state across consecutive runs
-	// (see core.Reuse). Only set when the engine is not inspected after
-	// the run's results have been extracted.
-	Reuse *core.Reuse
-	// ReferenceScheduler forces the single-heap reference event core
-	// (differential determinism tests only).
-	ReferenceScheduler bool
-	// RateBacking selects the engine's contact-rate representation
-	// (dense matrix vs sorted neighbor lists); the zero value picks
-	// automatically by node count.
-	RateBacking centrality.Backing
 }
 
 // defaultScenario is the base point of every sweep, matching the paper
@@ -106,28 +84,20 @@ func (sc Scenario) buildCatalog() (*cache.Catalog, error) {
 	return cache.NewCatalog(items)
 }
 
-// Run executes the scenario with the given scheme, returning the result
-// and the engine (for raw collector access).
-func (sc Scenario) Run(scheme core.Scheme) (metrics.Result, *core.Engine, error) {
-	sc = sc.withDefaults()
-	gen, err := mobility.Preset(sc.TracePreset)
-	if err != nil {
-		return metrics.Result{}, nil, err
-	}
-	tr, err := gen.Generate(sc.Seed)
-	if err != nil {
-		return metrics.Result{}, nil, err
-	}
-	return sc.RunOnTrace(scheme, tr)
+// RunOnTrace runs the scenario with the given scheme on a pre-generated
+// trace (so sweeps over non-trace parameters reuse one trace, matching
+// trace-driven methodology), returning the result and the engine (for raw
+// collector access).
+func (sc Scenario) RunOnTrace(scheme core.Scheme, tr *trace.Trace) (metrics.Result, *core.Engine, error) {
+	return Options{}.runScenario("", sc, scheme, tr)
 }
 
-// RunOnTrace is Run with a pre-generated trace (so sweeps over non-trace
-// parameters reuse one trace, matching trace-driven methodology).
-func (sc Scenario) RunOnTrace(scheme core.Scheme, tr *trace.Trace) (metrics.Result, *core.Engine, error) {
+// config builds the engine configuration of one run of scheme on tr.
+func (sc Scenario) config(scheme core.Scheme, tr *trace.Trace) (core.Config, error) {
 	sc = sc.withDefaults()
 	cat, err := sc.buildCatalog()
 	if err != nil {
-		return metrics.Result{}, nil, err
+		return core.Config{}, err
 	}
 	cfg := core.Config{
 		Trace:           tr,
@@ -136,27 +106,11 @@ func (sc Scenario) RunOnTrace(scheme core.Scheme, tr *trace.Trace) (metrics.Resu
 		NumCachingNodes: sc.NumCachingNodes,
 		PReq:            sc.PReq,
 		Seed:            sc.Seed,
-		Obs:             sc.Obs,
 		Metrics:         sc.Metrics,
-		Lineage:         sc.Lineage,
-		Timeline:        sc.Timeline,
-		TimelineTick:    sc.TimelineTick,
-
-		ContactTimeline:    sc.ContactTimeline,
-		Reuse:              sc.Reuse,
-		ReferenceScheduler: sc.ReferenceScheduler,
-		RateBacking:        sc.RateBacking,
+		ContactTimeline: sc.ContactTimeline,
 	}
 	if sc.QueryRate > 0 {
 		cfg.Workload = cache.WorkloadConfig{QueryRate: sc.QueryRate, ZipfExponent: 1.0}
 	}
-	eng, err := core.NewEngine(cfg)
-	if err != nil {
-		return metrics.Result{}, nil, err
-	}
-	res, err := eng.Run()
-	if err != nil {
-		return metrics.Result{}, nil, fmt.Errorf("expt: %s/%s: %w", scheme.Name(), tr.Name, err)
-	}
-	return res, eng, nil
+	return cfg, nil
 }

@@ -157,6 +157,7 @@ func TestTimelineRoundTrip(t *testing.T) {
 	if err := tl.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
+	export := buf.String()
 	records, err := ReadTimelineCSV(&buf)
 	if err != nil {
 		t.Fatal(err)
@@ -169,6 +170,14 @@ func TestTimelineRoundTrip(t *testing.T) {
 	}
 	if r := records[1]; r.Node != 3 || r.Item != 1 || r.Val != 360 {
 		t.Fatalf("record 1 = %+v", r)
+	}
+
+	// The header is the first non-blank line, wherever it falls.
+	if got, err := ReadTimelineCSV(strings.NewReader("\n\n" + export)); err != nil || len(got) != 2 {
+		t.Errorf("export after blank lines: %d records, %v", len(got), err)
+	}
+	if _, err := ReadTimelineCSV(strings.NewReader("\nrun,1,fresh,,,0.5\n")); err == nil {
+		t.Error("headerless file after a blank line accepted")
 	}
 }
 

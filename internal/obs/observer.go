@@ -98,25 +98,6 @@ func (o *Observer) Registry() *Registry {
 	return o.Metrics
 }
 
-// Run returns a fresh trace for one labelled run. The caller owns it until
-// Commit.
-func (o *Observer) Run(label string) *RunTrace {
-	if o == nil {
-		return nil
-	}
-	return NewRunTrace(label, o.cfg.SampleEvery, o.cfg.BufferCap)
-}
-
-// Commit hands a finished run's trace back to the observer.
-func (o *Observer) Commit(t *RunTrace) {
-	if o == nil || t == nil {
-		return
-	}
-	o.mu.Lock()
-	o.traces = append(o.traces, t)
-	o.mu.Unlock()
-}
-
 // RunScope is one labelled run's share of an Observer: its own event
 // trace, its lineage and timeline collectors (nil when disabled), the
 // shared registry and the timeline tick in sim seconds (0 = off, negative
@@ -138,7 +119,12 @@ func (o *Observer) OpenRun(label, scheme string) RunScope {
 	if o == nil {
 		return RunScope{}
 	}
-	s := RunScope{Trace: o.Run(label), Metrics: o.Metrics, TimelineTick: o.cfg.TimelineTick, o: o}
+	s := RunScope{
+		Trace:        NewRunTrace(label, o.cfg.SampleEvery, o.cfg.BufferCap),
+		Metrics:      o.Metrics,
+		TimelineTick: o.cfg.TimelineTick,
+		o:            o,
+	}
 	if o.cfg.Lineage {
 		s.Lineage = NewLineage(label, scheme, o.cfg.LineageCap)
 	}
@@ -156,8 +142,8 @@ func (s RunScope) Commit(res metrics.Result) {
 	if o == nil {
 		return
 	}
-	o.Commit(s.Trace)
 	o.mu.Lock()
+	o.traces = append(o.traces, s.Trace)
 	if s.Lineage != nil {
 		o.lineages = append(o.lineages, s.Lineage)
 	}

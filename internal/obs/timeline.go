@@ -132,23 +132,25 @@ type TimelineRecord struct {
 	TimelinePoint
 }
 
-// ReadTimelineCSV parses a timeline CSV stream written by the Observer
-// (header line required).
+// ReadTimelineCSV parses a timeline CSV stream written by the Observer.
+// Blank lines are skipped; the first non-blank line must be the header.
 func ReadTimelineCSV(r io.Reader) ([]TimelineRecord, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	var out []TimelineRecord
 	lineNo := 0
+	header := false
 	for sc.Scan() {
 		lineNo++
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
 			continue
 		}
-		if lineNo == 1 {
+		if !header {
 			if string(line) != TimelineCSVHeader {
-				return nil, fmt.Errorf("timeline: unexpected header %q", line)
+				return nil, fmt.Errorf("timeline line %d: unexpected header %q", lineNo, line)
 			}
+			header = true
 			continue
 		}
 		parts := bytes.Split(line, []byte{','})
