@@ -8,7 +8,9 @@ package centrality
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"freshcache/internal/stats"
@@ -317,74 +319,135 @@ func SelectCachingNodes(v RateView, window float64, k int) ([]trace.NodeID, erro
 
 // SelectCachingNodesExcluding is SelectCachingNodes with a set of nodes
 // barred from selection — the engine excludes data sources, which already
-// hold their own items and would waste a caching slot. Zero-rate pairs
-// contribute exactly 0 to every gain and multiply notCovered by exactly
-// 1, so the O(degree) neighbor-visiting path is bit-identical to the
-// dense full loop.
+// hold their own items and would waste a caching slot.
+//
+// The contact probabilities p_cj = ExpCDF(λcj, window) are computed once
+// into a coverage table, so each of the k greedy rounds costs O(pairs)
+// multiply-adds. The table keeps only nonzero p in the order the view
+// yields them, ascending j; a zero p adds exactly 0 to a gain and
+// multiplies notCovered by exactly 1, so the selection is bit-identical to
+// evaluating every pair in every round.
 func SelectCachingNodesExcluding(v RateView, window float64, k int, exclude map[trace.NodeID]bool) ([]trace.NodeID, error) {
 	n := v.N()
 	if k <= 0 || k > n-len(exclude) {
 		return nil, fmt.Errorf("centrality: cannot select %d caching nodes out of %d (%d excluded)", k, n, len(exclude))
 	}
-	nv, fast := v.(NeighborVisitor)
-	// notCovered[j] = Π over selected s of (1 - p_sj); 1 when nothing
-	// selected yet.
-	notCovered := make([]float64, n)
-	for j := range notCovered {
-		notCovered[j] = 1
-	}
-	selected := make([]trace.NodeID, 0, k)
-	inSet := make([]bool, n)
+	t := coveragePool.Get().(*coverageTable)
+	defer coveragePool.Put(t)
+	t.fill(v, window)
+	t.reset(n, exclude)
 
+	selected := make([]trace.NodeID, 0, k)
 	for len(selected) < k {
-		best := trace.NodeID(-1)
+		best := -1
 		bestGain := -1.0
 		for cand := 0; cand < n; cand++ {
-			if inSet[cand] || exclude[trace.NodeID(cand)] {
+			if t.inSet[cand] || t.excluded[cand] {
 				continue
 			}
 			// Gain: candidate covers itself fully plus shrinks every other
 			// node's not-covered probability by (1 - p_cand,j).
-			gain := notCovered[cand]
-			if fast {
-				nv.VisitNeighbors(trace.NodeID(cand), func(j trace.NodeID, rate float64) {
-					if inSet[j] {
-						return
-					}
-					gain += notCovered[j] * stats.ExpCDF(rate, window)
-				})
-			} else {
-				for j := 0; j < n; j++ {
-					if j == cand || inSet[j] {
-						continue
-					}
-					p := stats.ExpCDF(v.Rate(trace.NodeID(cand), trace.NodeID(j)), window)
-					gain += notCovered[j] * p
+			gain := t.notCovered[cand]
+			for _, e := range t.edges[t.off[cand]:t.off[cand+1]] {
+				if !t.inSet[e.to] {
+					gain += t.notCovered[e.to] * e.p
 				}
 			}
 			if gain > bestGain {
 				bestGain = gain
-				best = trace.NodeID(cand)
+				best = cand
 			}
 		}
-		selected = append(selected, best)
-		inSet[best] = true
-		notCovered[best] = 0
-		if fast {
-			nv.VisitNeighbors(best, func(j trace.NodeID, rate float64) {
-				notCovered[j] *= 1 - stats.ExpCDF(rate, window)
-			})
-		} else {
-			for j := 0; j < n; j++ {
-				if j == int(best) {
-					continue
-				}
-				p := stats.ExpCDF(v.Rate(best, trace.NodeID(j)), window)
-				notCovered[j] *= 1 - p
-			}
+		selected = append(selected, trace.NodeID(best))
+		t.inSet[best] = true
+		t.notCovered[best] = 0
+		for _, e := range t.edges[t.off[best]:t.off[best+1]] {
+			t.notCovered[e.to] *= 1 - e.p
 		}
 	}
 	return selected, nil
+}
+
+// coverageTable is greedy selection's working state: the nonzero contact
+// probabilities in CSR form — node c's entries are edges[off[c]:off[c+1]]
+// — plus the per-node exclusion, membership and not-covered arrays. Tables
+// are recycled through coveragePool, so repeated selections reuse their
+// capacity.
+type coverageTable struct {
+	off        []int32
+	edges      []coverageEdge
+	excluded   []bool
+	inSet      []bool
+	notCovered []float64 // Π over selected s of (1 - p_sj)
+}
+
+// coverageEdge is one nonzero p_cj of a candidate c.
+type coverageEdge struct {
+	to int32
+	p  float64
+}
+
+var coveragePool = sync.Pool{New: func() any { return new(coverageTable) }}
+
+// fill builds the table from the view. Views that enumerate neighbors are
+// visited twice, once to count and once to fill, so the edge array is
+// sized exactly; other views are read with a single Rate scan.
+func (t *coverageTable) fill(v RateView, window float64) {
+	n := v.N()
+	t.off = slices.Grow(t.off[:0], n+1)[:n+1]
+	t.edges = t.edges[:0]
+	if nv, ok := v.(NeighborVisitor); ok {
+		total := 0
+		count := func(trace.NodeID, float64) { total++ }
+		for a := 0; a < n; a++ {
+			nv.VisitNeighbors(trace.NodeID(a), count)
+		}
+		t.edges = slices.Grow(t.edges, total)
+		add := func(b trace.NodeID, rate float64) {
+			if p := stats.ExpCDF(rate, window); p != 0 {
+				t.edges = append(t.edges, coverageEdge{to: int32(b), p: p})
+			}
+		}
+		for a := 0; a < n; a++ {
+			t.off[a] = int32(len(t.edges))
+			nv.VisitNeighbors(trace.NodeID(a), add)
+		}
+	} else {
+		for a := 0; a < n; a++ {
+			t.off[a] = int32(len(t.edges))
+			for b := 0; b < n; b++ {
+				if b == a {
+					continue
+				}
+				if p := stats.ExpCDF(v.Rate(trace.NodeID(a), trace.NodeID(b)), window); p != 0 {
+					t.edges = append(t.edges, coverageEdge{to: int32(b), p: p})
+				}
+			}
+		}
+	}
+	t.off[n] = int32(len(t.edges))
+}
+
+// reset sizes the per-node arrays for n nodes: nothing selected, nothing
+// covered, and the in-range members of exclude barred.
+func (t *coverageTable) reset(n int, exclude map[trace.NodeID]bool) {
+	t.excluded = resize(t.excluded, n, false)
+	t.inSet = resize(t.inSet, n, false)
+	t.notCovered = resize(t.notCovered, n, 1)
+	for id, ex := range exclude {
+		if ex && id >= 0 && int(id) < n {
+			t.excluded[id] = true
+		}
+	}
+}
+
+// resize returns s with length n and every element set to x.
+func resize[T any](s []T, n int, x T) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	for i := range s {
+		s[i] = x
+	}
+	return s
 }
 
 // Placement selects which nodes become caching nodes.

@@ -73,9 +73,9 @@ func (e *Engine) handOffQueries(c *network.Contact, requester, relay trace.NodeI
 	if len(pending) == 0 {
 		return
 	}
-	qs := make([]*cache.Query, len(pending))
-	copy(qs, pending)
-	for _, q := range qs {
+	// Nothing below touches the query book, so the live list is iterated
+	// in place, without a snapshot.
+	for _, q := range pending {
 		if d.handedOut[q.ID] >= d.maxRelays {
 			continue
 		}
@@ -105,7 +105,7 @@ func (e *Engine) handOffQueries(c *network.Contact, requester, relay trace.NodeI
 func (e *Engine) fetchResponses(c *network.Contact, relay, provider trace.NodeID) {
 	d := e.delegation
 	carried := d.carried[relay]
-	if len(carried) == 0 {
+	if len(carried) == 0 || !e.provides[provider] {
 		return
 	}
 	for _, dq := range carried {

@@ -339,7 +339,10 @@ type Engine struct {
 	// the measurement epoch once the caching set is known.
 	stores  []*cache.Store
 	sources map[trace.NodeID][]cache.ItemID // node -> items it sources
-	queries []*cache.Query
+	// provides is indexed by NodeID: true for caching nodes and item
+	// sources, the only nodes that can serve a query. Built at the epoch.
+	provides []bool
+	queries  []*cache.Query
 	// qscratch is resolveFor's reusable snapshot of a pending-query list
 	// (Resolve mutates the live list mid-iteration). Contacts are
 	// processed one at a time, so a single buffer serves every call.
@@ -610,8 +613,13 @@ func (e *Engine) startMeasurement(est *centrality.Estimator, now float64) error 
 		eng:            e,
 		isCaching:      make([]bool, e.cfg.Trace.N),
 	}
+	e.provides = make([]bool, e.cfg.Trace.N)
+	for s := range e.sources {
+		e.provides[s] = true
+	}
 	for _, cn := range caching {
 		e.rt.isCaching[cn] = true
+		e.provides[cn] = true
 	}
 	if err := e.cfg.Scheme.Init(e.rt); err != nil {
 		return fmt.Errorf("core: scheme init: %w", err)
@@ -890,7 +898,15 @@ func (e *Engine) resolveQueries(c *network.Contact) {
 	e.resolveFor(c, c.B, c.A)
 }
 
+// resolveFor serves requester's pending queries from provider. Most
+// contacts meet no provider, so they return before touching the query
+// book; skipping Pending's timeout pruning there is unobservable, because
+// time only moves forward and the next Pending call prunes the same
+// queries.
 func (e *Engine) resolveFor(c *network.Contact, requester, provider trace.NodeID) {
+	if !e.provides[provider] {
+		return
+	}
 	pending := e.book.Pending(requester, c.Time)
 	if len(pending) == 0 {
 		return

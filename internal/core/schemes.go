@@ -148,6 +148,11 @@ type refreshScheme struct {
 	planCache map[planKey]RelayPlan
 	planEpoch uint64
 	planValid bool
+	// relayCands is the reusable candidate list of relayCandidates;
+	// addRelayCand appends to it (built once, so visiting allocates
+	// nothing).
+	relayCands   []trace.NodeID
+	addRelayCand func(trace.NodeID, float64)
 
 	// Planner statistics for analysis validation (E7).
 	plansTotal     int
@@ -464,6 +469,7 @@ func (s *refreshScheme) assumeDuty(holder trace.NodeID, it cache.Item, version i
 			rates := s.rt.RatesFor(holder)
 			memo := s.planMemo(rates)
 			bound := s.relayBound(it.ID)
+			var cands []trace.NodeID // computed on the first memo miss
 			for dest := d.dests.Next(0); dest >= 0; dest = d.dests.Next(dest + 1) {
 				var plan RelayPlan
 				if s.randomRelays {
@@ -475,8 +481,11 @@ func (s *refreshScheme) assumeDuty(holder trace.NodeID, it cache.Item, version i
 						plan, hit = memo[key]
 					}
 					if !hit {
+						if cands == nil {
+							cands = s.relayCandidates(rates, holder)
+						}
 						var err error
-						plan, err = PlanReplication(rates, holder, trace.NodeID(dest), s.rt.AllNodes(), budget, s.rt.PReq, bound)
+						plan, err = PlanReplication(rates, holder, trace.NodeID(dest), cands, budget, s.rt.PReq, bound)
 						if err != nil {
 							if s.planErr == nil {
 								s.planErr = err
@@ -532,6 +541,25 @@ func (s *refreshScheme) assumeDuty(holder trace.NodeID, it cache.Item, version i
 			Val: float64(ndests),
 		})
 	}
+}
+
+// relayCandidates returns the nodes worth offering PlanReplication as
+// relays for holder: its nonzero-rate neighbors when the view can
+// enumerate them, every node otherwise. A relay the holder never meets has
+// two-hop probability exactly 0 and is never selected, and the planner
+// orders candidates by (p, ID), so both lists give the same plan. The
+// returned slice is reused by the next call.
+func (s *refreshScheme) relayCandidates(rates centrality.RateView, holder trace.NodeID) []trace.NodeID {
+	nv, ok := rates.(centrality.NeighborVisitor)
+	if !ok {
+		return s.rt.AllNodes()
+	}
+	if s.addRelayCand == nil {
+		s.addRelayCand = func(b trace.NodeID, _ float64) { s.relayCands = append(s.relayCands, b) }
+	}
+	s.relayCands = s.relayCands[:0]
+	nv.VisitNeighbors(holder, s.addRelayCand)
+	return s.relayCands
 }
 
 // randomPlan draws MaxRelays distinct random relays (excluding holder and
